@@ -176,52 +176,3 @@ func (m *lineMap[V]) forEach(f func(mem.Line, V) error) error {
 	}
 	return nil
 }
-
-// partLineMap is a lineMap split into partitions routed by the line's
-// home-bank bits (line & pmask — the same bits core.Mapping.Shared uses to
-// pick a home bank). Transactions with disjoint bank footprints touch
-// disjoint partitions, so the sharded engine's parallel barrier can mutate
-// the substrate's residency and status tables from several workers without
-// a lock. With one partition it degenerates to a plain lineMap.
-type partLineMap[V any] struct {
-	parts []lineMap[V]
-	pmask uint64
-}
-
-// newPartLineMap builds a table of the given partition count (rounded up
-// to a power of two) with a total capacity hint spread across partitions.
-func newPartLineMap[V any](parts, hint int) partLineMap[V] {
-	np := 1
-	for np < parts {
-		np <<= 1
-	}
-	per := hint / np
-	if per < 16 {
-		per = 16
-	}
-	m := partLineMap[V]{parts: make([]lineMap[V], np), pmask: uint64(np - 1)}
-	for i := range m.parts {
-		m.parts[i] = newLineMap[V](per)
-	}
-	return m
-}
-
-func (m *partLineMap[V]) part(l mem.Line) *lineMap[V] {
-	return &m.parts[uint64(l)&m.pmask]
-}
-
-func (m *partLineMap[V]) get(l mem.Line) (V, bool) { return m.part(l).get(l) }
-func (m *partLineMap[V]) set(l mem.Line, v V)      { m.part(l).set(l, v) }
-func (m *partLineMap[V]) ptr(l mem.Line) *V        { return m.part(l).ptr(l) }
-func (m *partLineMap[V]) del(l mem.Line)           { m.part(l).del(l) }
-
-// forEach visits every entry, partition by partition; the callback must
-// not mutate the table.
-func (m *partLineMap[V]) forEach(f func(mem.Line, V) error) error {
-	for i := range m.parts {
-		if err := m.parts[i].forEach(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -239,8 +239,8 @@ func TestL1LookupMissThenHit(t *testing.T) {
 	if !l.Lookup(0, 100, false, false) {
 		t.Fatal("filled line missed")
 	}
-	if dh, dm, _, _ := l.Totals(); dh != 1 || dm != 1 {
-		t.Fatalf("hits=%d misses=%d", dh, dm)
+	if l.DataHits != 1 || l.DataMisses != 1 {
+		t.Fatalf("hits=%d misses=%d", l.DataHits, l.DataMisses)
 	}
 }
 
@@ -269,8 +269,8 @@ func TestL1SplitIAndD(t *testing.T) {
 	if !l.Lookup(0, 100, false, true) {
 		t.Fatal("instruction lookup missed")
 	}
-	if _, dm, ih, _ := l.Totals(); ih != 1 || dm != 1 {
-		t.Fatalf("instr hits=%d data misses=%d", ih, dm)
+	if l.InstrHits != 1 || l.DataMisses != 1 {
+		t.Fatalf("instr hits=%d data misses=%d", l.InstrHits, l.DataMisses)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestFunctionalWarmPopulatesState(t *testing.T) {
 		if err := sub.CheckInvariants(); err != nil {
 			t.Fatalf("%s: substrate invariants broken after functional warm: %v", archName, err)
 		}
-		if dh, dm, _, _ := sub.L1.Totals(); dh == 0 || dm == 0 {
-			t.Errorf("%s: L1 saw no traffic (hits %d, misses %d)", archName, dh, dm)
+		if sub.L1.DataHits == 0 || sub.L1.DataMisses == 0 {
+			t.Errorf("%s: L1 saw no traffic (hits %d, misses %d)", archName, sub.L1.DataHits, sub.L1.DataMisses)
 		}
 		var l2Blocks int
 		for _, b := range sub.Bank {

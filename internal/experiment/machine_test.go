@@ -52,6 +52,14 @@ func TestRunUnknownInputs(t *testing.T) {
 	if _, err := Run(rc); err == nil {
 		t.Error("unknown architecture accepted")
 	}
+	for _, k := range []int{0, 4} {
+		rc = quickRC("esp-nuca", "apache")
+		rc.EngineShards = 2
+		rc.SampleWindows = k
+		if _, err := Run(rc); err == nil || !strings.Contains(err.Error(), "sharded engine was removed") {
+			t.Errorf("EngineShards with SampleWindows=%d: err = %v, want the removal named", k, err)
+		}
+	}
 }
 
 func TestRunDeterministicPerSeed(t *testing.T) {

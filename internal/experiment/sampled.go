@@ -185,7 +185,11 @@ func RunSampled(rc RunConfig) (RunResult, error) {
 		bound := spec.Bind(wlLines, rc.System.L1ILines(), rc.Seed)
 		var pos [8]uint64
 		for i := lo; i < hi; i++ {
-			res, err := runWindow(rc, bound, plans[i], &pos)
+			sys, err := arch.Build(rc.Arch, rc.System)
+			if err != nil {
+				return fmt.Errorf("window %d: %w", i, err)
+			}
+			res, err := runWindow(rc, sys, bound, plans[i], &pos)
 			if err != nil {
 				return fmt.Errorf("window %d: %w", i, err)
 			}
@@ -199,14 +203,11 @@ func RunSampled(rc RunConfig) (RunResult, error) {
 	return reduceSampled(rc, plans, wins), nil
 }
 
-// runWindow simulates one measurement window on a fresh system. pos
-// tracks how many instructions each stream has generated so far; on
-// return every stream sits at its canonical (plan-derived) position.
-func runWindow(rc RunConfig, bound *workload.Bound, pl samplePlan, pos *[8]uint64) (RunResult, error) {
-	sys, err := arch.Build(rc.Arch, rc.System)
-	if err != nil {
-		return RunResult{}, err
-	}
+// runWindow simulates one measurement window on sys, a freshly built
+// system. pos tracks how many instructions each stream has generated so
+// far; on return every stream sits at its canonical (plan-derived)
+// position.
+func runWindow(rc RunConfig, sys arch.System, bound *workload.Bound, pl samplePlan, pos *[8]uint64) (RunResult, error) {
 	cores := rc.System.Cores
 
 	// Position the streams at the start of the functional warmup.

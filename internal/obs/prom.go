@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // This file renders a Registry in the Prometheus text exposition format
@@ -47,28 +46,6 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promSplit splits an instrument name into its sanitized Prometheus
-// metric name and an optional label suffix: a registry name like
-// `shard.barrier_wait_ns{shard="3"}` becomes metric
-// `shard_barrier_wait_ns` with label set `{shard="3"}`, so per-entity
-// instruments render as one labeled metric family instead of N mangled
-// names.
-func promSplit(name string) (pn, labels string) {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return PromName(name[:i]), name[i:]
-	}
-	return PromName(name), ""
-}
-
-// promMergeLabels appends extra (a bare `k="v"` pair) to a possibly-empty
-// label set.
-func promMergeLabels(labels, extra string) string {
-	if labels == "" {
-		return "{" + extra + "}"
-	}
-	return labels[:len(labels)-1] + "," + extra + "}"
-}
-
 // promMetric writes one `# TYPE` header plus sample lines.
 type promWriter struct {
 	w   *bufio.Writer
@@ -106,38 +83,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 
 	p := &promWriter{w: bufio.NewWriter(w)}
-	// Sorted names keep labeled variants of one family adjacent, so the
-	// `# TYPE` header is emitted once per family.
-	lastHeader := ""
 	for _, name := range sortedKeys(counters) {
-		pn, labels := promSplit(name)
-		if pn != lastHeader {
-			p.header(pn, "counter")
-			lastHeader = pn
-		}
-		p.sample(pn, labels, strconv.FormatUint(counters[name], 10))
+		pn := PromName(name)
+		p.header(pn, "counter")
+		p.sample(pn, "", strconv.FormatUint(counters[name], 10))
 	}
-	lastHeader = ""
 	for _, name := range sortedKeys(gauges) {
-		pn, labels := promSplit(name)
-		if pn != lastHeader {
-			p.header(pn, "gauge")
-			lastHeader = pn
-		}
-		p.sample(pn, labels, promFloat(gauges[name]))
+		pn := PromName(name)
+		p.header(pn, "gauge")
+		p.sample(pn, "", promFloat(gauges[name]))
 	}
-	lastHeader = ""
 	for _, name := range sortedKeys(series) {
-		pn, labels := promSplit(name)
-		if pn != lastHeader {
-			p.header(pn, "gauge")
-			lastHeader = pn
-		}
-		p.sample(pn, labels, promFloat(series[name].V))
+		pn := PromName(name)
+		p.header(pn, "gauge")
+		p.sample(pn, "", promFloat(series[name].V))
 	}
 	for _, name := range sortedKeys(hists) {
-		pn, labels := promSplit(name)
-		writePromHistogram(p, pn, labels, hists[name])
+		writePromHistogram(p, PromName(name), hists[name])
 	}
 	if p.err != nil {
 		return p.err
@@ -145,18 +107,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return p.w.Flush()
 }
 
-func writePromHistogram(p *promWriter, pn, labels string, h *Histogram) {
+func writePromHistogram(p *promWriter, pn string, h *Histogram) {
 	count, sum, buckets := h.Snapshot()
 	bounds := h.Bounds()
 	p.header(pn, "histogram")
 	var cum uint64
 	for i, bound := range bounds {
 		cum += buckets[i]
-		p.sample(pn+"_bucket", promMergeLabels(labels, `le="`+promFloat(bound)+`"`), strconv.FormatUint(cum, 10))
+		p.sample(pn+"_bucket", `{le="`+promFloat(bound)+`"}`, strconv.FormatUint(cum, 10))
 	}
-	p.sample(pn+"_bucket", promMergeLabels(labels, `le="+Inf"`), strconv.FormatUint(count, 10))
-	p.sample(pn+"_sum", labels, promFloat(sum))
-	p.sample(pn+"_count", labels, strconv.FormatUint(count, 10))
+	p.sample(pn+"_bucket", `{le="+Inf"}`, strconv.FormatUint(count, 10))
+	p.sample(pn+"_sum", "", promFloat(sum))
+	p.sample(pn+"_count", "", strconv.FormatUint(count, 10))
 
 	// Companion summary: the derived percentiles, so dashboards get
 	// p50/p95/p99 without a histogram_quantile query.
@@ -164,10 +126,10 @@ func writePromHistogram(p *promWriter, pn, labels string, h *Histogram) {
 	sn := pn + "_summary"
 	p.header(sn, "summary")
 	for i, rank := range []string{"0.5", "0.95", "0.99"} {
-		p.sample(sn, promMergeLabels(labels, `quantile="`+rank+`"`), promFloat(q[i]))
+		p.sample(sn, `{quantile="`+rank+`"}`, promFloat(q[i]))
 	}
-	p.sample(sn+"_sum", labels, promFloat(sum))
-	p.sample(sn+"_count", labels, strconv.FormatUint(count, 10))
+	p.sample(sn+"_sum", "", promFloat(sum))
+	p.sample(sn+"_count", "", strconv.FormatUint(count, 10))
 }
 
 func sortedKeys[V any](m map[string]V) []string {

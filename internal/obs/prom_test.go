@@ -163,39 +163,3 @@ func TestWritePrometheus(t *testing.T) {
 		t.Errorf("nil registry: err=%v len=%d", err, empty.Len())
 	}
 }
-
-func TestWritePrometheusLabeledFamily(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge(`shard.barrier_wait_ns{shard="0"}`).Set(100)
-	r.Gauge(`shard.barrier_wait_ns{shard="1"}`).Set(250)
-	r.Gauge(`shard.barrier_wait_ns{shard="10"}`).Set(75)
-	r.Gauge("shard.windows").Set(7)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-
-	// All labeled variants render as ONE metric family: exactly one
-	// # TYPE header, immediately followed by the per-shard samples.
-	if got := strings.Count(out, "# TYPE shard_barrier_wait_ns gauge\n"); got != 1 {
-		t.Fatalf("want exactly one family header, got %d:\n%s", got, out)
-	}
-	for _, want := range []string{
-		"shard_barrier_wait_ns{shard=\"0\"} 100\n",
-		"shard_barrier_wait_ns{shard=\"1\"} 250\n",
-		"shard_barrier_wait_ns{shard=\"10\"} 75\n",
-		"# TYPE shard_windows gauge\nshard_windows 7\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// No sample line may repeat a family header between members.
-	fam := out[strings.Index(out, "# TYPE shard_barrier_wait_ns"):]
-	fam = fam[:strings.Index(fam, "# TYPE shard_windows")]
-	if lines := strings.Count(fam, "\n"); lines != 4 {
-		t.Errorf("family block should be header + 3 samples, got %d lines:\n%s", lines, fam)
-	}
-}

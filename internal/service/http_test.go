@@ -282,18 +282,38 @@ func TestHTTPErrorsAndIntrospection(t *testing.T) {
 		t.Errorf("unknown job events: %d, want 404", code)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "run", "run": map[string]any{"arch": "esp-nuca", "workload": "nosuch"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad workload: %d %s", resp.StatusCode, body)
+	// Invalid specs get a 400, never a 500. engine_shards and
+	// barrier_parallelism belonged to the removed sharded engine and are
+	// now unknown fields.
+	run := func(extra map[string]any) map[string]any {
+		r := map[string]any{"arch": "esp-nuca", "workload": "apache"}
+		for k, v := range extra {
+			r[k] = v
+		}
+		return map[string]any{"kind": "run", "run": r}
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"bogus_field": 1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: %d %s", resp.StatusCode, body)
+	matrix := func(extra map[string]any) map[string]any {
+		m := map[string]any{"workloads": []string{"apache"}, "variant_set": "counterparts"}
+		for k, v := range extra {
+			m[k] = v
+		}
+		return map[string]any{"kind": "matrix", "matrix": m}
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "run", "run": map[string]any{
-		"arch": "esp-nuca", "workload": "apache", "engine_shards": 2, "barrier_parallelism": -2}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative barrier_parallelism: %d %s", resp.StatusCode, body)
+	for _, tc := range []struct {
+		name string
+		spec map[string]any
+	}{
+		{"bad workload", run(map[string]any{"workload": "nosuch"})},
+		{"unknown field", map[string]any{"bogus_field": 1}},
+		{"run engine_shards", run(map[string]any{"engine_shards": 2})},
+		{"run barrier_parallelism", run(map[string]any{"barrier_parallelism": 2})},
+		{"matrix engine_shards", matrix(map[string]any{"engine_shards": 2})},
+		{"matrix barrier_parallelism", matrix(map[string]any{"barrier_parallelism": 2})},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", tc.spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", tc.name, resp.StatusCode, body)
+		}
 	}
 
 	// A finished job shows up in the list; metricsz reflects it.

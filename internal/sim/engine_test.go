@@ -119,6 +119,32 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineStopHaltsRunUntilBeforeCond: Stop inside an event must halt
+// RunUntil before cond is re-evaluated, and a later Run resumes with the
+// remaining events.
+func TestEngineStopHaltsRunUntilBeforeCond(t *testing.T) {
+	e := NewEngine()
+	condCalls := 0
+	fired := 0
+	e.At(5, func() { fired++; e.Stop() })
+	e.At(6, func() { fired++ }) // must not run: Stop wins first
+
+	now := e.RunUntil(0, func() bool { condCalls++; return false })
+	if now != 5 || fired != 1 {
+		t.Fatalf("RunUntil stopped at cycle %d after %d events, want cycle 5 after 1", now, fired)
+	}
+	// cond ran once before the event at cycle 5 executed, and must not
+	// have run again after Stop.
+	if condCalls != 1 {
+		t.Fatalf("cond evaluated %d times, want exactly 1 (before the stopping event only)", condCalls)
+	}
+
+	now = e.Run(0)
+	if now != 6 || fired != 2 {
+		t.Fatalf("resumed Run reached cycle %d after %d total events, want 6 after 2", now, fired)
+	}
+}
+
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
