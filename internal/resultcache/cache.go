@@ -7,7 +7,10 @@
 // for the hot set, and an optional on-disk JSON object store that
 // survives process restarts and is shared between espsweep, espserved
 // and espctl. Concurrent requests for the same key are collapsed by a
-// singleflight group so one simulation feeds every waiter.
+// singleflight group so one simulation feeds every waiter. The group is
+// per process: stores in several processes that share one directory
+// reuse each other's published objects, but two of them missing on the
+// same cold key at once both simulate it (identical bytes either way).
 //
 // A cached result is bit-identical to a fresh experiment.Run of the same
 // configuration: the in-memory tier returns the stored struct by value,
@@ -56,10 +59,6 @@ type Stats struct {
 	// Bypassed counts Run calls that skipped the cache (instrumented
 	// runs, which carry side-effecting telemetry sinks).
 	Bypassed uint64 `json:"bypassed"`
-	// RemoteHits counts results satisfied by the cluster tier: fetched
-	// from a peer node (directly or after waiting out another node's
-	// run lease) instead of being simulated here.
-	RemoteHits uint64 `json:"remote_hits"`
 	// MemEntries and DiskEntries are point-in-time tier sizes, filled by
 	// Store.Stats. DiskEntries counts the objects this store knows of —
 	// seeded by one scan at Open, then maintained on Put and disk hits —
@@ -81,10 +80,6 @@ type Store struct {
 	cap   int
 	disk  map[string]struct{} // known on-disk keys; nil when memory-only
 	stats Stats
-
-	// remote is the optional cluster tier (peer fetch + run leases),
-	// attached by SetRemote before the store is shared.
-	remote Remote
 
 	flight group
 }
@@ -228,24 +223,7 @@ func (s *Store) Put(key string, rc experiment.RunConfig, res experiment.RunResul
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	// Atomic publish: concurrent readers see the old file or the new
-	// one, never a torn write; concurrent writers of the same key write
-	// identical bytes anyway.
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key[:8]+".tmp*")
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultcache: write %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultcache: close %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := publish(path, "."+key[:8]+".tmp*", b); err != nil {
 		return fmt.Errorf("resultcache: publish %s: %w", key, err)
 	}
 	s.mu.Lock()
@@ -356,15 +334,35 @@ func (s *Store) Close() error {
 	if err != nil {
 		return fmt.Errorf("resultcache: index: %w", err)
 	}
-	tmp := indexPath(s.dir) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("resultcache: index: %w", err)
-	}
-	if err := os.Rename(tmp, indexPath(s.dir)); err != nil {
-		os.Remove(tmp)
+	// Stores in several processes may share the directory and close
+	// concurrently; each publishes a whole manifest.
+	if err := publish(indexPath(s.dir), ".index.json.tmp*", b); err != nil {
 		return fmt.Errorf("resultcache: index: %w", err)
 	}
 	return nil
+}
+
+// publish writes b to path through a private temp file in the same
+// directory and renames it into place: readers see the old file or the
+// new one, never a torn write, and concurrent writers never share a
+// temp file (the last rename wins; same-key objects are identical
+// bytes anyway).
+func publish(path, pattern string, b []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Index returns the persisted manifest of a store directory, if present.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -282,5 +283,83 @@ func TestInstrumentedRunBypassesCache(t *testing.T) {
 	st := s.Stats()
 	if st.Bypassed != 2 || st.Stores != 0 {
 		t.Errorf("instrumented runs must bypass: %+v", st)
+	}
+}
+
+// TestSharedDirReuseAcrossStores is the multi-process story: two stores
+// opened on one directory (as two daemons sharing a -cache-dir are)
+// reuse each other's results. The second store serves the first one's
+// object from disk, bit-identical, with zero simulation work — even
+// though the object did not exist when it opened.
+func TestSharedDirReuseAcrossStores(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := quickRC("esp-nuca", "apache", 11)
+	first, err := a.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := b.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(first)
+	got, _ := json.Marshal(second)
+	if !bytes.Equal(got, want) {
+		t.Errorf("shared-dir result not bit-identical:\n got  %s\n want %s", got, want)
+	}
+	if st := b.Stats(); st.Runs != 0 || st.DiskHits != 1 {
+		t.Errorf("second store stats = %+v, want runs 0 and one disk hit", st)
+	}
+}
+
+// TestConcurrentCloseSharedDir closes two stores on one directory at
+// the same time, over and over: every Close succeeds and the manifest
+// left behind always parses, with no temp files left over.
+func TestConcurrentCloseSharedDir(t *testing.T) {
+	dir := t.TempDir()
+	var stores [2]*Store
+	for i := range stores {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := quickRC("shared", "apache", uint64(i+1))
+		if err := s.Put(mustKey(t, rc), rc, experiment.RunResult{Seed: rc.Seed}); err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	for round := 0; round < 300; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(stores))
+		for i, s := range stores {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.Close()
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: store %d Close: %v", round, i, err)
+			}
+		}
+		found, entries, _, err := Index(dir)
+		if err != nil || !found || entries != 2 {
+			t.Fatalf("round %d: index found=%v entries=%d err=%v", round, found, entries, err)
+		}
+	}
+	leftovers, err := filepath.Glob(filepath.Join(dir, ".index.json.tmp*"))
+	if err != nil || len(leftovers) != 0 {
+		t.Errorf("temp manifests left behind: %v (err %v)", leftovers, err)
 	}
 }

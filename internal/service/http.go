@@ -19,6 +19,10 @@ import (
 // submission echoes the ID the daemon recorded.
 const TraceHeader = "X-Trace-Id"
 
+// maxSubmitBytes bounds a POST /v1/jobs body; larger submissions get
+// 413. A real job spec is a few hundred bytes.
+const maxSubmitBytes = 1 << 20
+
 // ServerOptions tunes the HTTP layer.
 type ServerOptions struct {
 	// Logger receives one structured line per request (method, path,
@@ -31,10 +35,6 @@ type ServerOptions struct {
 	// submissions (jobs run exactly as before; /v1/jobs/{id}/trace
 	// returns 404).
 	DisableTracing bool
-	// ClusterStatus, when non-nil, is called per /readyz request and
-	// its value attached under "cluster": the coordinator reports its
-	// registered peers and lease tables, a worker its membership state.
-	ClusterStatus func() any
 }
 
 // Server is the HTTP face of the simulation service.
@@ -62,7 +62,6 @@ type Server struct {
 	mux     *http.ServeMux
 	logger  *slog.Logger
 	tracing bool
-	cluster func() any
 }
 
 // NewServer wires the API around a scheduler and its cache (cache may
@@ -82,7 +81,6 @@ func NewServer(sched *Scheduler, cache *resultcache.Store, opts ...ServerOptions
 		mux:     http.NewServeMux(),
 		logger:  opt.Logger,
 		tracing: !opt.DisableTracing,
-		cluster: opt.ClusterStatus,
 	}
 	if s.logger == nil {
 		s.logger = discardLogger()
@@ -112,13 +110,6 @@ func NewServer(sched *Scheduler, cache *resultcache.Store, opts ...ServerOptions
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Handle registers an additional raw route on the server's mux. The
-// cluster subsystem mounts its internal endpoints (join/heartbeat/
-// lease/run/object) through it; they stay outside the per-endpoint
-// latency histograms and request log — heartbeats every few hundred
-// milliseconds would drown both.
-func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
 // statusWriter records the response status for logging and metrics. It
 // must keep forwarding Flush: the SSE event stream depends on it.
@@ -234,13 +225,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !h.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	if s.cluster != nil {
-		writeJSON(w, code, struct {
-			HealthView
-			Cluster any `json:"cluster"`
-		}{h, s.cluster()})
-		return
-	}
 	writeJSON(w, code, h)
 }
 
@@ -317,11 +301,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	received := tr.StartSpan("received", obs.SpanHandle{})
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		received.End()
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("decode job spec: %w", err))
 		return
 	}
 	id, err := s.sched.SubmitTraced(spec, tr)

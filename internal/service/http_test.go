@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -282,38 +283,23 @@ func TestHTTPErrorsAndIntrospection(t *testing.T) {
 		t.Errorf("unknown job events: %d, want 404", code)
 	}
 
-	// Invalid specs get a 400, never a 500. engine_shards and
-	// barrier_parallelism belonged to the removed sharded engine and are
-	// now unknown fields.
-	run := func(extra map[string]any) map[string]any {
-		r := map[string]any{"arch": "esp-nuca", "workload": "apache"}
-		for k, v := range extra {
-			r[k] = v
-		}
-		return map[string]any{"kind": "run", "run": r}
-	}
-	matrix := func(extra map[string]any) map[string]any {
-		m := map[string]any{"workloads": []string{"apache"}, "variant_set": "counterparts"}
-		for k, v := range extra {
-			m[k] = v
-		}
-		return map[string]any{"kind": "matrix", "matrix": m}
-	}
-	for _, tc := range []struct {
-		name string
-		spec map[string]any
-	}{
-		{"bad workload", run(map[string]any{"workload": "nosuch"})},
-		{"unknown field", map[string]any{"bogus_field": 1}},
-		{"run engine_shards", run(map[string]any{"engine_shards": 2})},
-		{"run barrier_parallelism", run(map[string]any{"barrier_parallelism": 2})},
-		{"matrix engine_shards", matrix(map[string]any{"engine_shards": 2})},
-		{"matrix barrier_parallelism", matrix(map[string]any{"barrier_parallelism": 2})},
-	} {
+	// Invalid specs get a 400, never a 500.
+	for _, tc := range invalidSubmissions() {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", tc.spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", tc.name, resp.StatusCode, body)
 		}
+	}
+	// An oversized body is cut off at the bound: 413, not a 400 after
+	// reading it all.
+	huge := append(bytes.Repeat([]byte(" "), maxSubmitBytes), '{', '}')
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submission: %d, want 413", resp.StatusCode)
 	}
 
 	// A finished job shows up in the list; metricsz reflects it.
@@ -339,15 +325,74 @@ func TestHTTPErrorsAndIntrospection(t *testing.T) {
 		t.Error("metricsz missing cache stats")
 	}
 
-	// Result of an unfinished/failed job conflicts.
-	rid, err := tsSubmitRaw(ts, JobSpec{Run: &RunSpec{Arch: "nosuch-arch", Workload: "apache", Warmup: 1, Instructions: 1}})
+	// Result of a failed job conflicts. Every valid spec simulates
+	// fine, so the failure comes from a stub runner.
+	failing := newStubServer(t, RunnerFunc(func(context.Context, JobSpec, func(int, int)) (any, error) {
+		return nil, errors.New("boom")
+	}))
+	rid, err := tsSubmitRaw(failing, quickRunSpec(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJobTerminal(t, ts, rid)
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+rid+"/result", nil); code != http.StatusConflict {
+	if v := waitJobTerminal(t, failing, rid); v.State != StateFailed {
+		t.Fatalf("stub job state = %s, want failed", v.State)
+	}
+	if code := getJSON(t, failing.URL+"/v1/jobs/"+rid+"/result", nil); code != http.StatusConflict {
 		t.Errorf("failed job result: %d, want 409", code)
 	}
+}
+
+// invalidSubmissions are POST /v1/jobs bodies that must get a 400.
+// engine_shards and barrier_parallelism belonged to the removed sharded
+// engine and are now unknown fields.
+func invalidSubmissions() []struct {
+	name string
+	spec map[string]any
+} {
+	run := func(extra map[string]any) map[string]any {
+		r := map[string]any{"arch": "esp-nuca", "workload": "apache"}
+		for k, v := range extra {
+			r[k] = v
+		}
+		return map[string]any{"kind": "run", "run": r}
+	}
+	matrix := func(extra map[string]any) map[string]any {
+		m := map[string]any{"workloads": []string{"apache"}, "variant_set": "counterparts"}
+		for k, v := range extra {
+			m[k] = v
+		}
+		return map[string]any{"kind": "matrix", "matrix": m}
+	}
+	badVariant := []map[string]any{{"label": "x", "arch": "nosuch"}}
+	return []struct {
+		name string
+		spec map[string]any
+	}{
+		{"bad workload", run(map[string]any{"workload": "nosuch"})},
+		{"unknown arch", run(map[string]any{"arch": "nosuch"})},
+		{"matrix unknown variant arch", matrix(map[string]any{"variants": badVariant})},
+		{"unknown field", map[string]any{"bogus_field": 1}},
+		{"run engine_shards", run(map[string]any{"engine_shards": 2})},
+		{"run barrier_parallelism", run(map[string]any{"barrier_parallelism": 2})},
+		{"matrix engine_shards", matrix(map[string]any{"engine_shards": 2})},
+		{"matrix barrier_parallelism", matrix(map[string]any{"barrier_parallelism": 2})},
+	}
+}
+
+// newStubServer serves the HTTP API over a scheduler whose runner is r
+// and which has no result cache, so nothing is simulated.
+func newStubServer(t testing.TB, r Runner) *httptest.Server {
+	t.Helper()
+	sched, err := New(Config{Workers: 1, Runner: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(sched, nil))
+	t.Cleanup(func() {
+		ts.Close()
+		sched.Drain(context.Background())
+	})
+	return ts
 }
 
 func tsSubmitRaw(ts *httptest.Server, spec JobSpec) (string, error) {

@@ -9,8 +9,10 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
+	"espnuca/internal/arch"
 	"espnuca/internal/experiment"
 	"espnuca/internal/workload"
 )
@@ -55,6 +57,9 @@ func (sp RunSpec) Config() (experiment.RunConfig, error) {
 	if sp.Arch == "" {
 		return experiment.RunConfig{}, fmt.Errorf("service: run spec missing arch")
 	}
+	if err := checkArch(sp.Arch); err != nil {
+		return experiment.RunConfig{}, err
+	}
 	if _, ok := workload.ByName(sp.Workload); !ok {
 		return experiment.RunConfig{}, fmt.Errorf("service: unknown workload %q", sp.Workload)
 	}
@@ -82,6 +87,14 @@ func (sp RunSpec) Config() (experiment.RunConfig, error) {
 	}
 	rc.SampleWindows = sp.SampleWindows
 	return rc, nil
+}
+
+// checkArch rejects architecture names the registry cannot build.
+func checkArch(name string) error {
+	if !slices.Contains(arch.Names(), name) {
+		return fmt.Errorf("service: unknown arch %q (known: %v)", name, arch.Names())
+	}
+	return nil
 }
 
 // VariantSpec names one architecture column of a matrix job. CCProb,
@@ -136,6 +149,9 @@ func (sp MatrixSpec) Matrix() (experiment.Matrix, error) {
 		return experiment.Matrix{}, fmt.Errorf("service: unknown variant set %q", sp.VariantSet)
 	}
 	for _, v := range sp.Variants {
+		if err := checkArch(v.Arch); err != nil {
+			return experiment.Matrix{}, err
+		}
 		ev := experiment.V(v.Label, v.Arch)
 		if ev.Label == "" {
 			ev.Label = v.Arch

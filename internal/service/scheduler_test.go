@@ -92,13 +92,17 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		{},                                  // no payload
 		{Run: &RunSpec{Arch: "esp-nuca"}},   // missing workload
 		{Run: &RunSpec{Workload: "apache"}}, // missing arch
-		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                            // bad workload
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                                 // cc_probability > 1
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                                // cc_probability <= 0
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                                  // negative sample_windows
-		{Kind: KindMatrix, Matrix: &MatrixSpec{}},                                                                 // empty matrix
-		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},                                    // no variants
-		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "nope"}},                // bad set
+		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                                    // bad workload
+		{Run: &RunSpec{Arch: "nosuch", Workload: "apache"}},                                                               // unknown arch
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                                         // cc_probability > 1
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                                        // cc_probability <= 0
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                                          // negative sample_windows
+		{Kind: KindMatrix, Matrix: &MatrixSpec{}},                                                                         // empty matrix
+		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},                                            // no variants
+		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "nope"}},                        // bad set
+		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "nosuch"}}}}, // unknown variant arch
+		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "counterparts",
+			Variants: []VariantSpec{{Label: "x", Arch: "nosuch"}}}}, // one bad variant among good ones
 		{Kind: "weird", Run: &RunSpec{Arch: "esp-nuca", Workload: "apache"}},                                      // bad kind
 		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache"}, Matrix: &MatrixSpec{Workloads: []string{"apache"}}}, // both payloads, kind ambiguous
 	}
